@@ -391,3 +391,63 @@ func TestParallelVetoRollsBack(t *testing.T) {
 		t.Fatalf("late calls = %v", lc)
 	}
 }
+
+// TestEnlistRacingCommitNeverDropsParticipant races concurrent Enlist
+// calls against Commit: every Enlist that returns nil must take part in
+// the protocol (prepared and committed exactly once), and every Enlist
+// that loses the race must fail with core.ErrActivityInactive. A
+// participant accepted after the prepare broadcast snapshotted its
+// targets would be silently left out of a transaction reported committed.
+func TestEnlistRacingCommitNeverDropsParticipant(t *testing.T) {
+	const (
+		txs       = 3000
+		enlisters = 8
+	)
+	coord := NewCoordinator(core.New())
+	ctx := context.Background()
+	dropped, accepted := 0, 0
+	for i := 0; i < txs; i++ {
+		tx, err := coord.Begin("race")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg       sync.WaitGroup
+			start    = make(chan struct{})
+			res      [enlisters]*scriptedResource
+			enlisted [enlisters]error
+		)
+		for j := range res {
+			res[j] = newResource(ots.VoteCommit)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				enlisted[j] = tx.Enlist(res[j])
+			}()
+		}
+		close(start)
+		committed, err := tx.Commit(ctx)
+		wg.Wait()
+		if err != nil || !committed {
+			t.Fatalf("tx %d: committed=%v err=%v", i, committed, err)
+		}
+		for j, r := range res {
+			calls := r.Calls()
+			switch {
+			case enlisted[j] == nil:
+				accepted++
+				if len(calls) != 2 || calls[0] != "prepare" || calls[1] != "commit" {
+					dropped++
+				}
+			case !errors.Is(enlisted[j], core.ErrActivityInactive):
+				t.Fatalf("tx %d: Enlist failed with %v, want ErrActivityInactive", i, enlisted[j])
+			case len(calls) != 0:
+				t.Fatalf("tx %d: rejected participant saw %v", i, calls)
+			}
+		}
+	}
+	if dropped != 0 {
+		t.Fatalf("%d of %d accepted participants were never prepared and committed", dropped, accepted)
+	}
+}

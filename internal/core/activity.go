@@ -76,9 +76,9 @@ type Activity struct {
 	mu            sync.Mutex
 	state         ActivityState
 	cs            CompletionStatus
-	children      map[ids.UID]*Activity
-	sets          map[string]SignalSet
-	pgroups       map[string]PropertyGroup
+	children      []*Activity
+	sets          map[string]SignalSet     // nil until first written
+	pgroups       map[string]PropertyGroup // nil until first written
 	completionSet string
 	outcome       Outcome
 	hasOutcome    bool
@@ -137,6 +137,9 @@ func (a *Activity) RegisterSignalSet(set SignalSet) error {
 	if _, dup := a.sets[set.Name()]; dup {
 		return fmt.Errorf("%w: %q on %s", ErrDuplicateSignalSet, set.Name(), a.name)
 	}
+	if a.sets == nil {
+		a.sets = make(map[string]SignalSet)
+	}
 	a.sets[set.Name()] = set
 	return nil
 }
@@ -159,9 +162,13 @@ func (a *Activity) SetCompletionSet(name string) {
 // AddAction registers action with the named SignalSet through the
 // coordinator. The set does not need to be registered yet: per §3.2.3 the
 // set of Signals cannot be known beforehand, so Actions register interest
-// in a SignalSet by name.
+// in a SignalSet by name. The state check and the registration share the
+// lock Complete takes to enter Completing, so a registration either lands
+// before the completion broadcast snapshots its targets or fails.
 func (a *Activity) AddAction(setName string, action Action) (ActionID, error) {
-	if st := a.State(); st == ActivityCompleted || st == ActivityCompleting {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.state == ActivityCompleted || a.state == ActivityCompleting {
 		return ActionID{}, fmt.Errorf("%w: %s", ErrActivityInactive, a.name)
 	}
 	return a.coord.AddAction(setName, action), nil
@@ -169,7 +176,9 @@ func (a *Activity) AddAction(setName string, action Action) (ActionID, error) {
 
 // AddNamedAction is AddAction with an explicit trace label.
 func (a *Activity) AddNamedAction(setName, label string, action Action) (ActionID, error) {
-	if st := a.State(); st == ActivityCompleted || st == ActivityCompleting {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.state == ActivityCompleted || a.state == ActivityCompleting {
 		return ActionID{}, fmt.Errorf("%w: %s", ErrActivityInactive, a.name)
 	}
 	return a.coord.AddNamedAction(setName, label, action), nil
@@ -230,8 +239,11 @@ func (a *Activity) BeginChild(name string, opts ...BeginOption) (*Activity, erro
 		a.svc.forget(child)
 		return nil, fmt.Errorf("%w: cannot nest under %s in state %s", ErrActivityInactive, a.name, st)
 	}
-	a.children[child.id] = child
+	a.children = append(a.children, child)
 	// Derive property groups into the child.
+	if len(a.pgroups) > 0 {
+		child.pgroups = make(map[string]PropertyGroup, len(a.pgroups))
+	}
 	for name, pg := range a.pgroups {
 		child.pgroups[name] = deriveChild(pg)
 	}
@@ -246,11 +258,7 @@ func (a *Activity) BeginChild(name string, opts ...BeginOption) (*Activity, erro
 func (a *Activity) Children() []*Activity {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]*Activity, 0, len(a.children))
-	for _, c := range a.children {
-		out = append(out, c)
-	}
-	return out
+	return append([]*Activity(nil), a.children...)
 }
 
 // activeChildren lists children not yet completed.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,95 +31,39 @@ type RetryPolicy struct {
 	Backoff time.Duration
 }
 
-// registration pairs an Action with its identity and trace label.
+// registration pairs an Action with its identity and trace label. An
+// unnamed registration keeps only its AddAction number and formats its
+// "action-N" label on demand, so untraced delivery never builds it.
 type registration struct {
 	id     ActionID
-	label  string
+	seq    int64  // AddAction number, 0 for a named registration
+	label  string // AddNamedAction label
 	action Action
 }
 
-// regStripes is the shard count of the coordinator's registration map. A
-// power of two; set names hash onto the stripes with FNV-1a.
-const regStripes = 16
-
-// regShard is one stripe of the registration map.
-type regShard struct {
-	mu sync.Mutex
-	m  map[string][]registration
-}
-
-// regMap is a striped-lock map of setName → registrations, replacing the
-// coordinator's old single mutex-guarded map: a fanout-heavy activity
-// registering actions for many sets concurrently (remote enrolment, the
-// fan-out storm of a wide 2PC) stops contending on one lock, and
-// registration lookups during broadcast stop contending with concurrent
-// AddAction/RemoveAction on unrelated sets.
-type regMap struct {
-	shards [regStripes]regShard
-}
-
-func newRegMap() *regMap {
-	r := &regMap{}
-	for i := range r.shards {
-		r.shards[i].m = make(map[string][]registration)
+// name returns the registration's trace label.
+func (r registration) name() string {
+	if r.seq == 0 {
+		return r.label
 	}
-	return r
+	return "action-" + strconv.FormatInt(r.seq, 10)
 }
 
-// shard picks the stripe for a set name (FNV-1a over the name).
-func (r *regMap) shard(setName string) *regShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(setName); i++ {
-		h ^= uint32(setName[i])
-		h *= 16777619
-	}
-	return &r.shards[h&(regStripes-1)]
-}
-
-// add appends a registration to a set's list.
-func (r *regMap) add(setName string, reg registration) {
-	s := r.shard(setName)
-	s.mu.Lock()
-	s.m[setName] = append(s.m[setName], reg)
-	s.mu.Unlock()
-}
-
-// remove deletes a registration by id, reporting whether it existed.
-func (r *regMap) remove(setName string, id ActionID) bool {
-	s := r.shard(setName)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	regs := s.m[setName]
-	for i, reg := range regs {
-		if reg.id == id {
-			s.m[setName] = append(regs[:i], regs[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// count returns the number of registrations for a set.
-func (r *regMap) count(setName string) int {
-	s := r.shard(setName)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m[setName])
-}
-
-// snapshot copies a set's registration list, in registration order.
-func (r *regMap) snapshot(setName string) []registration {
-	s := r.shard(setName)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]registration(nil), s.m[setName]...)
+// regList is one set name's registrations, in registration order.
+// Removal copies into a new array and appends write only past the current
+// length, so no element a broadcast's snapshot can see is ever rewritten.
+type regList struct {
+	setName string
+	regs    []registration
 }
 
 // Coordinator is the activity coordinator of fig. 5: Actions register
 // interest in SignalSets by name; when the activity transmits a SignalSet,
 // the coordinator pulls each Signal from the set, broadcasts it to the
 // registered Actions in registration order, and feeds every response back
-// into the set.
+// into the set. One mutex guards its registrations: each broadcast takes
+// a copy-free snapshot, so actions may register and deregister while a
+// signal is in flight without changing who receives it.
 type Coordinator struct {
 	owner    string // activity name, for traces
 	gen      *ids.Generator
@@ -126,15 +71,13 @@ type Coordinator struct {
 	retry    RetryPolicy
 	delivery DeliveryPolicy
 	counters *deliveryCounters // service-wide speculative accounting, may be nil
+	seq      atomic.Int64      // numbers unnamed registrations
 
-	// regs is lock-striped (regMap): registration traffic for distinct
-	// sets never contends. mu guards only the per-set drivers. seq feeds
-	// default trace labels and is atomic for the same reason.
-	regs *regMap
-	seq  atomic.Int64
-
+	// mu guards the registration lists and the per-set drivers: an
+	// activity drives one or two set names, so linear search beats a map.
 	mu      sync.Mutex
-	drivers map[SignalSet]*setDriver
+	regs    []regList
+	drivers []*setDriver
 }
 
 func newCoordinator(owner string, gen *ids.Generator, rec *trace.Recorder, retry RetryPolicy, delivery DeliveryPolicy, counters *deliveryCounters) *Coordinator {
@@ -148,8 +91,6 @@ func newCoordinator(owner string, gen *ids.Generator, rec *trace.Recorder, retry
 		retry:    retry,
 		delivery: delivery,
 		counters: counters,
-		regs:     newRegMap(),
-		drivers:  make(map[SignalSet]*setDriver),
 	}
 }
 
@@ -157,50 +98,94 @@ func newCoordinator(owner string, gen *ids.Generator, rec *trace.Recorder, retry
 // interest in SignalSets, not individual Signals (§3.2.3): they receive
 // every signal the set generates.
 func (c *Coordinator) AddAction(setName string, action Action) ActionID {
-	return c.AddNamedAction(setName, fmt.Sprintf("action-%d", c.seq.Add(1)), action)
+	return c.add(setName, registration{seq: c.seq.Add(1), action: action})
 }
 
 // AddNamedAction registers action under an explicit trace label.
 func (c *Coordinator) AddNamedAction(setName, label string, action Action) ActionID {
-	id := c.gen.New()
-	c.regs.add(setName, registration{id: id, label: label, action: action})
-	return id
+	return c.add(setName, registration{label: label, action: action})
+}
+
+// add assigns reg an id and appends it to setName's list.
+func (c *Coordinator) add(setName string, reg registration) ActionID {
+	reg.id = c.gen.New()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	l := c.list(setName)
+	if l == nil {
+		// Room for a typical participant list before the first regrowth.
+		c.regs = append(c.regs, regList{setName: setName, regs: make([]registration, 0, 4)})
+		l = &c.regs[len(c.regs)-1]
+	}
+	l.regs = append(l.regs, reg)
+	return reg.id
+}
+
+// list returns setName's registrations, nil if it has none. c.mu is held.
+func (c *Coordinator) list(setName string) *regList {
+	for i := range c.regs {
+		if c.regs[i].setName == setName {
+			return &c.regs[i]
+		}
+	}
+	return nil
 }
 
 // RemoveAction removes a registration, reporting whether it existed.
 func (c *Coordinator) RemoveAction(setName string, id ActionID) bool {
-	return c.regs.remove(setName, id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	l := c.list(setName)
+	for i := 0; l != nil && i < len(l.regs); i++ {
+		if l.regs[i].id == id {
+			// Copy on write: a running broadcast may hold the old array.
+			kept := make([]registration, 0, len(l.regs)-1)
+			l.regs = append(append(kept, l.regs[:i]...), l.regs[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // ActionCount returns the number of actions registered with setName.
 func (c *Coordinator) ActionCount(setName string) int {
-	return c.regs.count(setName)
+	return len(c.actions(setName))
 }
 
-// actions snapshots the registrations for a set.
+// actions snapshots the registrations for a set without copying: the
+// slice is capped at its length, below which the list is never written.
 func (c *Coordinator) actions(setName string) []registration {
-	return c.regs.snapshot(setName)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if l := c.list(setName); l != nil {
+		return l.regs[:len(l.regs):len(l.regs)]
+	}
+	return nil
 }
 
 // driverFor returns the fig. 7 state machine for a set instance, creating
-// it on first use. A set that reached End stays ended forever.
-func (c *Coordinator) driverFor(set SignalSet) *setDriver {
+// it on first use (create=false reports nil instead). A set that reached
+// End stays ended forever.
+func (c *Coordinator) driverFor(set SignalSet, create bool) *setDriver {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.drivers[set]
-	if !ok {
-		d = newSetDriver(set)
-		c.drivers[set] = d
+	for _, d := range c.drivers {
+		if d.set == set {
+			return d
+		}
 	}
+	if !create {
+		return nil
+	}
+	d := newSetDriver(set)
+	c.drivers = append(c.drivers, d)
 	return d
 }
 
 // SetState reports the fig. 7 state of a set instance under this
 // coordinator (Waiting if it has never been driven).
 func (c *Coordinator) SetState(set SignalSet) SetState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.drivers[set]; ok {
+	if d := c.driverFor(set, false); d != nil {
 		return d.State()
 	}
 	return StateWaiting
@@ -217,7 +202,7 @@ func (c *Coordinator) SetState(set SignalSet) SetState {
 // collation, advance short-circuiting and the recorded trace are identical
 // across policies.
 func (c *Coordinator) ProcessSignalSet(ctx context.Context, set SignalSet) (Outcome, error) {
-	driver := c.driverFor(set)
+	driver := c.driverFor(set, true)
 	setName := set.Name()
 	policy := c.policyFor(set)
 	for {
@@ -257,15 +242,4 @@ func (c *Coordinator) ProcessSignalSet(ctx context.Context, set SignalSet) (Outc
 	}
 	c.rec.Record(trace.KindGetOutcome, c.owner, setName, out.Name, "")
 	return out, nil
-}
-
-// deliver transmits one signal to one action with at-least-once retry,
-// recording transmit events live and the response at the end (the same
-// event shape replayTrace reproduces for parallel deliveries).
-func (c *Coordinator) deliver(ctx context.Context, reg registration, sig Signal) (Outcome, error) {
-	r := c.runAttempts(ctx, reg, sig, func(attempt int) {
-		c.rec.Record(trace.KindTransmit, c.owner, reg.label, sig.Name, transmitDetail(attempt))
-	})
-	c.recordResponse(reg, sig, r)
-	return r.outcome, r.err
 }

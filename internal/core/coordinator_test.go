@@ -288,7 +288,7 @@ func (b *brokenSet) GetOutcome() (Outcome, error) { return Outcome{}, nil }
 func TestCoordinatorStripedRegistrationStress(t *testing.T) {
 	coord := newCoordinator("stress", testGen(), nil, RetryPolicy{Attempts: 1}, DeliveryPolicy{}, nil)
 	const (
-		sets       = 3 * regStripes // several sets per stripe on average
+		sets       = 48
 		workers    = 8
 		perWorker  = 50 // adds per worker per set
 		removeEach = 20 // removals per worker per set

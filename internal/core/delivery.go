@@ -185,12 +185,14 @@ func (c *Coordinator) policyFor(set SignalSet) DeliveryPolicy {
 	return DeliveryPolicy{Mode: DeliverSerial}
 }
 
-// broadcastSerial delivers sig to each registration in order, feeding every
-// response back immediately; an advance stops the broadcast.
+// broadcastSerial delivers sig to each registration in order, recording
+// its trace events live and feeding every response back immediately; an
+// advance stops the broadcast.
 func (c *Coordinator) broadcastSerial(ctx context.Context, driver *setDriver, regs []registration, sig Signal) (bool, error) {
 	for _, reg := range regs {
-		outcome, aerr := c.deliver(ctx, reg, sig)
-		adv, serr := driver.setResponse(outcome, aerr)
+		r := c.runAttempts(ctx, reg, sig, true)
+		c.recordResponse(reg, sig, r)
+		adv, serr := driver.setResponse(r.outcome, r.err)
 		if serr != nil {
 			return false, serr
 		}
@@ -214,16 +216,16 @@ type attemptResult struct {
 	skipped bool
 }
 
-// runAttempts is the single at-least-once retry loop behind both delivery
-// modes. onTransmit, when non-nil, is invoked before each attempt — the
-// serial path records live; the parallel path passes nil and replays the
-// events at collation time so there is exactly one encoding of the
-// retry-and-trace contract.
-func (c *Coordinator) runAttempts(ctx context.Context, reg registration, sig Signal, onTransmit func(attempt int)) attemptResult {
+// runAttempts is the single at-least-once retry loop behind every
+// delivery mode. With live set (the serial path) it records each transmit
+// as it happens; the concurrent paths pass false and replay the events at
+// collation time, so there is exactly one encoding of the retry-and-trace
+// contract.
+func (c *Coordinator) runAttempts(ctx context.Context, reg registration, sig Signal, live bool) attemptResult {
 	var r attemptResult
 	for attempt := 1; attempt <= c.retry.Attempts; attempt++ {
-		if onTransmit != nil {
-			onTransmit(attempt)
+		if live && c.rec != nil {
+			c.rec.Record(trace.KindTransmit, c.owner, reg.name(), sig.Name, transmitDetail(attempt))
 		}
 		r.attempts = attempt
 		r.outcome, r.err = reg.action.ProcessSignal(ctx, sig)
@@ -259,11 +261,11 @@ func transmitDetail(attempt int) string {
 // mid-backoff — the same shape in serial and parallel mode.
 func (c *Coordinator) recordResponse(reg registration, sig Signal, r attemptResult) {
 	switch {
-	case r.cancelled:
+	case c.rec == nil, r.cancelled:
 	case r.err == nil:
-		c.rec.Record(trace.KindResponse, reg.label, sig.SetName, r.outcome.Name, "")
+		c.rec.Record(trace.KindResponse, reg.name(), sig.SetName, r.outcome.Name, "")
 	default:
-		c.rec.Record(trace.KindResponse, reg.label, sig.SetName, "", fmt.Sprintf("error: %v", r.err))
+		c.rec.Record(trace.KindResponse, reg.name(), sig.SetName, "", fmt.Sprintf("error: %v", r.err))
 	}
 }
 
@@ -304,7 +306,7 @@ func (c *Coordinator) broadcastParallel(ctx context.Context, driver *setDriver, 
 					close(ready[idx])
 					continue
 				}
-				results[idx] = c.runAttempts(dctx, regs[idx], sig, nil)
+				results[idx] = c.runAttempts(dctx, regs[idx], sig, false)
 				close(ready[idx])
 			}
 		}()
@@ -353,7 +355,7 @@ func (c *Coordinator) replayTrace(reg registration, sig Signal, r attemptResult)
 		return
 	}
 	for attempt := 1; attempt <= r.attempts; attempt++ {
-		c.rec.Record(trace.KindTransmit, c.owner, reg.label, sig.Name, transmitDetail(attempt))
+		c.rec.Record(trace.KindTransmit, c.owner, reg.name(), sig.Name, transmitDetail(attempt))
 	}
 	c.recordResponse(reg, sig, r)
 }

@@ -326,6 +326,9 @@ func (a *Activity) AddPropertyGroup(pg PropertyGroup) error {
 	if _, dup := a.pgroups[pg.Name()]; dup {
 		return fmt.Errorf("%w: %q on %s", ErrDuplicatePropertyGroup, pg.Name(), a.name)
 	}
+	if a.pgroups == nil {
+		a.pgroups = make(map[string]PropertyGroup)
+	}
 	a.pgroups[pg.Name()] = pg
 	return nil
 }

@@ -153,15 +153,12 @@ func (s *Service) Begin(name string, opts ...BeginOption) *Activity {
 
 func (s *Service) newActivity(name string, parent *Activity, opts ...BeginOption) *Activity {
 	a := &Activity{
-		svc:      s,
-		id:       s.gen.New(),
-		name:     name,
-		parent:   parent,
-		state:    ActivityActive,
-		cs:       CompletionSuccess,
-		children: make(map[ids.UID]*Activity),
-		sets:     make(map[string]SignalSet),
-		pgroups:  make(map[string]PropertyGroup),
+		svc:    s,
+		id:     s.gen.New(),
+		name:   name,
+		parent: parent,
+		state:  ActivityActive,
+		cs:     CompletionSuccess,
 	}
 	for _, o := range opts {
 		o.applyBegin(a)

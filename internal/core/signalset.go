@@ -113,37 +113,24 @@ func (d *setDriver) State() SetState {
 // getSignal transitions Waiting/GetSignal → GetSignal, or → End when the
 // set is exhausted.
 func (d *setDriver) getSignal() (Signal, bool, error) {
-	d.mu.Lock()
-	if d.state == StateEnd {
-		d.mu.Unlock()
+	if d.State() == StateEnd {
 		return Signal{}, false, fmt.Errorf("%w: get_signal after End", ErrSignalSetInactive)
 	}
-	d.mu.Unlock()
-
 	sig, last, err := d.set.GetSignal()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	switch {
-	case errors.Is(err, ErrExhausted):
+	if err != nil { // ErrExhausted included
 		d.state = StateEnd
 		return Signal{}, false, err
-	case err != nil:
-		d.state = StateEnd
-		return Signal{}, false, err
-	default:
-		d.state = StateGetSignal
-		return sig, last, nil
 	}
+	d.state = StateGetSignal
+	return sig, last, nil
 }
 
 func (d *setDriver) setResponse(resp Outcome, deliveryErr error) (bool, error) {
-	d.mu.Lock()
-	if d.state != StateGetSignal {
-		st := d.state
-		d.mu.Unlock()
+	if st := d.State(); st != StateGetSignal {
 		return false, fmt.Errorf("%w: set_response in state %s", ErrSignalSetInactive, st)
 	}
-	d.mu.Unlock()
 	return d.set.SetResponse(resp, deliveryErr)
 }
 
@@ -155,13 +142,9 @@ func (d *setDriver) end() {
 }
 
 func (d *setDriver) getOutcome() (Outcome, error) {
-	d.mu.Lock()
-	if d.state != StateEnd {
-		st := d.state
-		d.mu.Unlock()
+	if st := d.State(); st != StateEnd {
 		return Outcome{}, fmt.Errorf("%w: get_outcome in state %s", ErrSignalSetActive, st)
 	}
-	d.mu.Unlock()
 	return d.set.GetOutcome()
 }
 

@@ -193,7 +193,7 @@ func planMembers(regs []registration) (members []TreeMember, direct []int) {
 			info := sd.RelayInfo()
 			members = append(members, TreeMember{
 				Index:  i,
-				Label:  reg.label,
+				Label:  reg.name(),
 				Node:   info.Node,
 				RTT:    info.RTT,
 				Action: reg.action,
@@ -262,7 +262,7 @@ func (c *Coordinator) broadcastTree(ctx context.Context, driver *setDriver, regs
 						close(ready[idx])
 						continue
 					}
-					results[idx] = c.runAttempts(dctx, regs[idx], sig, nil)
+					results[idx] = c.runAttempts(dctx, regs[idx], sig, false)
 					close(ready[idx])
 				}
 			}()
@@ -351,7 +351,7 @@ func (c *Coordinator) deliverSubtree(ctx context.Context, shortCircuit *atomic.B
 		if shortCircuit.Load() {
 			results[idx].skipped = true
 		} else {
-			results[idx] = c.runAttempts(ctx, regs[idx], sig, nil)
+			results[idx] = c.runAttempts(ctx, regs[idx], sig, false)
 		}
 		close(ready[idx])
 	}
