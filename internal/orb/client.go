@@ -542,6 +542,13 @@ func (o *ORB) invokeOverPool(ctx context.Context, pool *endpointPool, ref IOR, o
 		// The sender removed the pending entry and completed its one send;
 		// nobody else can touch ch, so it is safe to recycle.
 		putReplyChan(ch)
+		// A reply the caller only reaches after its deadline — the send
+		// itself can outlast it — is a timeout. select picks at random
+		// when both cases are ready; the call's outcome must not.
+		if err := ctx.Err(); err != nil {
+			rep.release()
+			return nil, Systemf(CodeTimeout, "invoking %s on %s: %v", op, pool.endpoint, err)
+		}
 		return replyToResult(rep)
 	case <-ctx.Done():
 		if c.unregister(reqID) {

@@ -117,6 +117,7 @@ type GroupMember struct {
 	leaderEps    []string
 	lastElection time.Time
 	elections    uint64
+	claimTerm    uint64        // term of this member's in-flight claim, 0 when none
 	repoint      chan struct{} // closed and renewed when leadership knowledge changes
 }
 
@@ -147,9 +148,10 @@ func NewGroupMember(o *orb.ORB, log *wal.Log, cfg GroupConfig) *GroupMember {
 		repoint:   make(chan struct{}),
 	}
 	g.primary, g.ref, _ = serveReplication(o, log, groupHooks{
-		info:    g.info,
-		claim:   g.handleClaim,
-		deposed: g.noteDeposed,
+		info:     g.info,
+		claim:    g.handleClaim,
+		deposed:  g.noteDeposed,
+		claiming: g.claiming,
 	})
 	return g
 }
@@ -185,6 +187,21 @@ func (g *GroupMember) info() (string, bool, int64) {
 		at = g.lastElection.UnixMilli()
 	}
 	return g.cfg.MemberID, g.role == RoleLeader, at
+}
+
+// claiming feeds the servant's fetch fence: the term this member is
+// claiming, 0 when no claim is in flight.
+func (g *GroupMember) claiming() uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.claimTerm
+}
+
+// setClaim marks a claim for term as in flight (0 ends it).
+func (g *GroupMember) setClaim(term uint64) {
+	g.mu.Lock()
+	g.claimTerm = term
+	g.mu.Unlock()
 }
 
 // signalLocked wakes everything blocked on leadership knowledge. The
@@ -262,9 +279,12 @@ func (g *GroupMember) Promote(ctx context.Context) error {
 }
 
 // becomeLeader claims term durably, flips the role and activates the
-// hosted state.
+// hosted state. It ends any in-flight claim once the term record is
+// durable (or the claim failed).
 func (g *GroupMember) becomeLeader(ctx context.Context, term uint64) error {
-	if _, err := g.log.AdoptTerm(term, g.cfg.MemberID); err != nil {
+	_, err := g.log.AdoptTerm(term, g.cfg.MemberID)
+	g.setClaim(0)
+	if err != nil {
 		return fmt.Errorf("remote: claim term %d: %w", term, err)
 	}
 	g.mu.Lock()
@@ -417,9 +437,14 @@ func (g *GroupMember) elect(ctx context.Context) error {
 			continue
 		}
 		term := maxTerm + 1
+		// Voters that accept repoint here and may fetch with the new term
+		// before AdoptTerm makes it durable; the in-flight claim keeps
+		// those fetches from fencing this member (fenceFetch).
+		g.setClaim(term)
 		if g.claimFrom(ctx, peers, term, myLast) {
 			return g.becomeLeader(ctx, term)
 		}
+		g.setClaim(0)
 		sleepCtx(ctx, g.cfg.ElectionRetry)
 	}
 }

@@ -227,6 +227,55 @@ func TestElectionTiebreakMemberID(t *testing.T) {
 	waitLSN(t, bLog, 5) // the term record replicated
 }
 
+// TestElectionVoterFetchBeforeTermDurable forces the interleaving where a
+// voter that accepted a claim for term T fetches from the candidate, with
+// follower term T, before the candidate's AdoptTerm(T) is durable. That
+// fetch must not fence the candidate it just elected: the candidate's
+// AdoptTerm(T) must still succeed, and the voter then streams the term
+// record.
+func TestElectionVoterFetchBeforeTermDurable(t *testing.T) {
+	ctx := context.Background()
+	cLog, vLog := seedLog(t, 4), seedLog(t, 4)
+	cORB, cEps := listenORB(t)
+	vORB, vEps := listenORB(t)
+	c := NewGroupMember(cORB, cLog, GroupConfig{MemberID: "c", Peers: []string{vEps[0]}})
+	NewGroupMember(vORB, vLog, GroupConfig{MemberID: "v", Peers: []string{cEps[0]}})
+
+	// The candidate's election round, stopped between a won claim and
+	// becomeLeader.
+	const term = 1
+	c.setClaim(term)
+	if !c.claimFrom(ctx, []peerState{{endpoint: vEps[0]}}, term, cLog.LastLSN()) {
+		t.Fatal("voter rejected the claim")
+	}
+	if got := vLog.KnownTerm(); got != term {
+		t.Fatalf("voter known term = %d after accepting, want %d", got, term)
+	}
+
+	// The voter's first fetch lands before the term record is durable.
+	f := NewReplicationFollower(vORB, ReplicationAt(cEps...), vLog,
+		WithFollowerID("v"), WithPollTimeout(10*time.Millisecond))
+	if _, err := f.Sync(ctx); err != nil {
+		t.Fatalf("voter fetch during the claim: %v", err)
+	}
+	if ts := cLog.TermState(); ts.Fenced {
+		t.Fatalf("candidate fenced by its own voter: %+v", ts)
+	}
+
+	if err := c.becomeLeader(ctx, term); err != nil {
+		t.Fatalf("candidate could not adopt the term it won: %v", err)
+	}
+	if c.Role() != RoleLeader || cLog.Term() != term {
+		t.Fatalf("candidate role %v term %d, want leader of term %d", c.Role(), cLog.Term(), term)
+	}
+	if n, err := f.Sync(ctx); err != nil || n != 1 {
+		t.Fatalf("voter fetch after the claim = %d records, %v; want the term record", n, err)
+	}
+	if ts := vLog.TermState(); ts.Term != term || ts.Leader != "c" || ts.Fenced {
+		t.Fatalf("voter term state = %+v, want term %d led by c, unfenced", ts, term)
+	}
+}
+
 // TestRejoinTruncatesUnreplicatedSuffix is the deposed-leader rejoin
 // matrix: leader a dies holding an unreplicated suffix, standby b elects
 // itself and moves on, and a — restarted on its old WAL, no operator

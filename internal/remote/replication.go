@@ -223,6 +223,9 @@ type groupHooks struct {
 	// deposed reports that a fetching follower proved a higher term exists
 	// (the log has already been fenced when it runs).
 	deposed func(term uint64)
+	// claiming reports the term this member is claiming right now (0 when
+	// none): from its first repl_claim until its term record is durable.
+	claiming func() uint64
 }
 
 // replicationServant exposes a primary's wal.Log over the ORB.
@@ -394,9 +397,20 @@ func (s *replicationServant) Dispatch(ctx context.Context, op string, in *cdr.De
 //     records), so the reply carries the exact truncation bound — the
 //     start of the first term beyond the follower's — for the follower's
 //     crash-atomic rejoin cut.
+//
+// A follower term equal to the term this member is claiming is no proof
+// of deposition: a voter that accepted the claim repoints here and may
+// fetch before the claim's term record is durable. Fencing on it would
+// fence the candidate the voter just elected. The claim is read before
+// KnownTerm, and it ends only after the term record is durable, so such a
+// fetch sees either the claim or the durable term.
 func (s *replicationServant) fenceFetch(after, followerTerm uint64) ([]byte, bool) {
+	var claiming uint64
+	if s.hooks.claiming != nil {
+		claiming = s.hooks.claiming()
+	}
 	known := s.log.KnownTerm()
-	if followerTerm > known {
+	if followerTerm > known && followerTerm != claiming {
 		s.log.Fence(followerTerm)
 		if s.hooks.deposed != nil {
 			s.hooks.deposed(followerTerm)

@@ -40,8 +40,9 @@ func (f *faultyBackend) sync() error {
 	return f.be.sync()
 }
 
-func (f *faultyBackend) contents() ([]byte, error) { return f.be.contents() }
-func (f *faultyBackend) truncate(n int) error      { return f.be.truncate(n) }
+func (f *faultyBackend) contents() ([]byte, error)               { return f.be.contents() }
+func (f *faultyBackend) readAt(p []byte, off int64) (int, error) { return f.be.readAt(p, off) }
+func (f *faultyBackend) truncate(n int) error                    { return f.be.truncate(n) }
 
 func (f *faultyBackend) replace(b []byte) error {
 	if f.failReplace > 0 {

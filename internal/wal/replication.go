@@ -34,24 +34,18 @@ func (l *Log) LastLSN() uint64 {
 
 // RecordsSince returns, in LSN order, the durable records with LSN greater
 // than after. Records compacted away by a checkpoint are not resurrected —
-// callers track the epoch (State) to detect compaction.
+// callers track the epoch (State) to detect compaction. The first record
+// is found in the in-memory index and only the returned records' bytes
+// are read, so the cost follows the number of records returned, not the
+// length of the log. Every record's CRC is verified; corruption of synced
+// bytes is an error naming the record's LSN.
 func (l *Log) RecordsSince(after uint64) ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil, ErrClosed
 	}
-	recs, _, _, err := l.scan()
-	if err != nil {
-		return nil, err
-	}
-	out := recs[:0:0]
-	for _, r := range recs {
-		if r.LSN > after {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return l.readRecordsLocked(l.searchLocked(after), len(l.index))
 }
 
 // WaitSince blocks until the log's stream state has moved past (epoch,
@@ -123,11 +117,8 @@ func (l *Log) InstallSnapshot(epoch uint64, data []byte) error {
 	if err := l.be.replace(data); err != nil {
 		return fmt.Errorf("wal: install snapshot: %w", err)
 	}
-	recs, valid, total, err := l.scan()
-	if err != nil {
-		return fmt.Errorf("wal: install snapshot: %w", err)
-	}
-	if valid < total {
+	recs, valid := parseRecords(data, 0)
+	if valid < len(data) {
 		// A snapshot is always a whole number of records; torn bytes mean
 		// the shipped data was corrupt. The valid prefix is kept.
 		if err := l.be.truncate(valid); err != nil {

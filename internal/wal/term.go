@@ -212,18 +212,14 @@ func (l *Log) TruncateAfter(lsn uint64) error {
 	if err := l.repairLocked(); err != nil {
 		return err
 	}
-	recs, _, _, err := l.scan()
+	cut := l.searchLocked(lsn)
+	recs, err := l.readRecordsLocked(0, cut)
 	if err != nil {
 		return err
 	}
-	off := 0
-	cut := len(recs)
-	for i, r := range recs {
-		if r.LSN > lsn {
-			cut = i
-			break
-		}
-		off += headerSize + 10 + len(r.Data)
+	off := l.size
+	if cut < len(l.index) {
+		off = l.index[cut].off
 	}
 	if off < l.size {
 		if err := l.be.truncate(off); err != nil {
@@ -235,28 +231,28 @@ func (l *Log) TruncateAfter(lsn uint64) error {
 	}
 	l.size = off
 	l.dirty = false
-	l.adoptScannedLocked(recs[:cut])
+	l.adoptScannedLocked(recs)
 	l.notifyLocked()
 	return nil
 }
 
-// adoptScannedLocked recomputes the log's stream position and term state
-// from a scanned record set (open, truncation, snapshot install). The
-// caller must hold l.mu.
+// adoptScannedLocked recomputes the log's stream position, record index
+// and term state from a scanned record set laid out from offset 0 (open,
+// truncation, snapshot install). The caller must hold l.mu.
 func (l *Log) adoptScannedLocked(recs []Record) {
 	l.nextLSN = 1
 	if len(recs) > 0 {
 		l.nextLSN = recs[len(recs)-1].LSN + 1
 	}
+	l.rebuildIndexLocked(recs)
 	l.term, l.termStart, l.termLeader = 0, 0, ""
-	l.termMarks = l.termMarks[:0]
-	for _, r := range recs {
-		if r.Kind != KindTerm {
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Kind != KindTerm {
 			continue
 		}
-		if term, leader, err := DecodeTermRecord(r.Data); err == nil {
-			l.termMarks = append(l.termMarks, termMark{term: term, lsn: r.LSN})
-			l.term, l.termStart, l.termLeader = term, r.LSN, leader
+		if term, leader, err := DecodeTermRecord(recs[i].Data); err == nil {
+			l.term, l.termStart, l.termLeader = term, recs[i].LSN, leader
+			break
 		}
 	}
 }

@@ -11,8 +11,8 @@
 //	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //	payload = u64 LSN | u16 kind | data bytes
 //
-// Replay stops at the first torn or corrupt record, which models a crash
-// mid-write; everything before it is durable. Both a file-backed and an
+// Opening a log stops at the first torn or corrupt record, which models a
+// crash mid-write; everything before it is durable. Both a file-backed and an
 // in-memory backend are provided, and both support deterministic crash
 // injection for recovery tests (InjectCrashAfter).
 //
@@ -35,7 +35,13 @@
 // For replication, the log exposes its stream position (State, LastLSN),
 // incremental reads (RecordsSince, WaitSince) and a follower write surface
 // (AppendRecord, InstallSnapshot) — see the replication layer in
-// internal/remote for the wire protocol built on them.
+// internal/remote for the wire protocol built on them. The log keeps an
+// in-memory index of every valid record's LSN and byte offset, so
+// RecordsSince finds its first record by binary search and reads only the
+// bytes it ships, in one positional read: its cost follows the number of
+// records shipped, not the length of the log. Every read still verifies
+// each record's CRC; a mismatch inside the indexed (synced) range is
+// reported as corruption, never silently shipped as a shorter batch.
 package wal
 
 import (
@@ -46,6 +52,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 )
 
@@ -79,8 +86,11 @@ type backend interface {
 	append(b []byte) error
 	// sync forces previously written bytes to durable storage.
 	sync() error
-	// contents reads the whole medium.
+	// contents reads the whole medium, including any torn tail.
 	contents() ([]byte, error)
+	// readAt reads len(p) bytes starting at offset off, like
+	// io.ReaderAt. It does not move the offset appends write at.
+	readAt(p []byte, off int64) (int, error)
 	// truncate discards everything beyond offset n.
 	truncate(n int) error
 	// replace atomically substitutes the entire contents with b: after a
@@ -95,8 +105,9 @@ type Log struct {
 	mu      sync.Mutex
 	be      backend
 	nextLSN uint64
-	size    int  // byte offset of the end of the last valid record
-	dirty   bool // a failed append may have left torn bytes past size
+	size    int          // byte offset of the end of the last valid record
+	dirty   bool         // a failed append may have left torn bytes past size
+	index   []indexEntry // every valid record, in log order
 	epoch   uint64
 	waitCh  chan struct{} // closed and renewed whenever the stream advances
 	closed  bool
@@ -119,6 +130,13 @@ type Log struct {
 	// fault matrix runs against memory and real files.
 	failAfter int
 	failArmed bool
+}
+
+// indexEntry locates one valid record: its LSN and the byte offset of its
+// header. LSNs increase along the log, so the index is sorted by both.
+type indexEntry struct {
+	lsn uint64
+	off int
 }
 
 // NewMemory returns an empty in-memory log.
@@ -146,6 +164,12 @@ func OpenMemory(data []byte) (*Log, error) {
 func OpenFile(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+	}
+	// Appends write at the file offset, which reads never move (they are
+	// positional): start it at the end of the existing log.
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	l, err := newLog(&fileBackend{f: f, path: path})
@@ -176,16 +200,17 @@ func syncDir(dir string) error {
 
 func newLog(be backend) (*Log, error) {
 	l := &Log{be: be, nextLSN: 1, waitCh: make(chan struct{})}
-	recs, valid, total, err := l.scan()
+	b, err := be.contents()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wal: read: %w", err)
 	}
+	recs, valid := parseRecords(b, 0)
 	l.adoptScannedLocked(recs)
 	l.size = valid
 	// Drop a torn tail so subsequent appends produce a clean log, and make
 	// the repair durable: an unsynced truncation can be undone by a crash,
 	// resurrecting the torn bytes in front of records appended after it.
-	if total > valid {
+	if len(b) > valid {
 		if err := l.be.truncate(valid); err != nil {
 			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
@@ -246,6 +271,7 @@ func (l *Log) appendLocked(r Record) error {
 		l.dirty = true
 		return fmt.Errorf("wal: sync: %w", err)
 	}
+	l.index = append(l.index, indexEntry{lsn: r.LSN, off: l.size})
 	l.size += len(rec)
 	return nil
 }
@@ -281,8 +307,7 @@ func (l *Log) Records() ([]Record, error) {
 	if l.closed {
 		return nil, ErrClosed
 	}
-	recs, _, _, err := l.scan()
-	return recs, err
+	return l.readRecordsLocked(0, len(l.index))
 }
 
 // Replay calls fn for every durable record in order, stopping at the first
@@ -315,7 +340,7 @@ func (l *Log) Checkpoint(keep func(Record) bool) error {
 	if l.closed {
 		return ErrClosed
 	}
-	recs, _, _, err := l.scan()
+	recs, err := l.readRecordsLocked(0, len(l.index))
 	if err != nil {
 		return err
 	}
@@ -328,18 +353,12 @@ func (l *Log) Checkpoint(keep func(Record) bool) error {
 			lastTerm = i
 		}
 	}
-	var (
-		out   []byte
-		marks []termMark
-	)
+	var out []byte
+	kept := recs[:0]
 	for i, r := range recs {
 		if i == lastTerm || keep(r) {
 			out = append(out, encodeRecord(r)...)
-			if r.Kind == KindTerm {
-				if term, _, err := DecodeTermRecord(r.Data); err == nil {
-					marks = append(marks, termMark{term: term, lsn: r.LSN})
-				}
-			}
+			kept = append(kept, r)
 		}
 	}
 	if l.failArmed && l.failAfter <= 0 {
@@ -352,7 +371,7 @@ func (l *Log) Checkpoint(keep func(Record) bool) error {
 	}
 	l.size = len(out)
 	l.dirty = false
-	l.termMarks = marks
+	l.rebuildIndexLocked(kept)
 	l.epoch++
 	l.notifyLocked()
 	return nil
@@ -367,16 +386,7 @@ func (l *Log) Snapshot() ([]byte, error) {
 	if l.closed {
 		return nil, ErrClosed
 	}
-	b, err := l.be.contents()
-	if err != nil {
-		return nil, err
-	}
-	if l.size < len(b) {
-		b = b[:l.size]
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
+	return l.readLocked(0, l.size)
 }
 
 // Close releases the backend. Further use returns ErrClosed.
@@ -408,22 +418,84 @@ func (l *Log) InjectCrashAfter(n int) bool {
 	return true
 }
 
-// scan parses the backend contents, returning the valid records, the byte
-// offset of the end of the last valid record, and the total content size.
-func (l *Log) scan() ([]Record, int, int, error) {
-	b, err := l.be.contents()
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("wal: read: %w", err)
-	}
-	var (
-		recs  []Record
-		off   int
-		valid int
-	)
-	for {
-		if off+headerSize > len(b) {
-			break // torn or clean end
+// readLocked returns a fresh copy of the log bytes [from, to), read with
+// one positional read. Callers stay within l.size, so torn bytes past the
+// last valid record are never read. The caller must hold l.mu.
+func (l *Log) readLocked(from, to int) ([]byte, error) {
+	b := make([]byte, to-from)
+	n, err := l.be.readAt(b, int64(from))
+	if n < len(b) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
+		return nil, fmt.Errorf("wal: read %d bytes at offset %d: %w", len(b), from, err)
+	}
+	return b, nil
+}
+
+// readRecordsLocked returns the records at index positions [i, j), read
+// with one positional read and parsed with every CRC verified. The
+// records' Data share that read's buffer. Every indexed byte was synced
+// when it was appended, so a record that fails to parse, or whose LSN
+// disagrees with the index, is on-disk corruption and an error naming its
+// LSN. The caller must hold l.mu.
+func (l *Log) readRecordsLocked(i, j int) ([]Record, error) {
+	if i == j {
+		return nil, nil
+	}
+	end := l.size
+	if j < len(l.index) {
+		end = l.index[j].off
+	}
+	b, err := l.readLocked(l.index[i].off, end)
+	if err != nil {
+		return nil, err
+	}
+	recs, n := parseRecords(b, j-i)
+	for k := range j - i {
+		if k == len(recs) || recs[k].LSN != l.index[i+k].lsn {
+			return nil, fmt.Errorf("wal: corrupt record at lsn %d (offset %d)", l.index[i+k].lsn, l.index[i+k].off)
+		}
+	}
+	if len(recs) != j-i || n != len(b) {
+		return nil, fmt.Errorf("wal: corrupt record after lsn %d", l.index[j-1].lsn)
+	}
+	return recs, nil
+}
+
+// searchLocked returns the index position of the first record with LSN
+// greater than after. The caller must hold l.mu.
+func (l *Log) searchLocked(after uint64) int {
+	return sort.Search(len(l.index), func(k int) bool { return l.index[k].lsn > after })
+}
+
+// rebuildIndexLocked recomputes the record index and the term-record
+// cache from recs, the complete record set laid out from offset 0 (open,
+// truncation, snapshot install, checkpoint). The caller must hold l.mu.
+func (l *Log) rebuildIndexLocked(recs []Record) {
+	l.index = l.index[:0]
+	l.termMarks = l.termMarks[:0]
+	off := 0
+	for _, r := range recs {
+		l.index = append(l.index, indexEntry{lsn: r.LSN, off: off})
+		off += headerSize + 10 + len(r.Data)
+		if r.Kind != KindTerm {
+			continue
+		}
+		if term, _, err := DecodeTermRecord(r.Data); err == nil {
+			l.termMarks = append(l.termMarks, termMark{term: term, lsn: r.LSN})
+		}
+	}
+}
+
+// parseRecords decodes the records at the start of b, verifying each
+// CRC, and stops at the first torn or corrupt one. It returns the records
+// before that point, whose Data alias b, and the number of bytes they
+// span. n sizes the result slice.
+func parseRecords(b []byte, n int) ([]Record, int) {
+	recs := make([]Record, 0, n)
+	off := 0
+	for off+headerSize <= len(b) {
 		length := binary.BigEndian.Uint32(b[off : off+4])
 		sum := binary.BigEndian.Uint32(b[off+4 : off+8])
 		if length < 10 || off+headerSize+int(length) > len(b) {
@@ -433,17 +505,14 @@ func (l *Log) scan() ([]Record, int, int, error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			break // corrupt tail
 		}
-		data := make([]byte, len(payload)-10)
-		copy(data, payload[10:])
 		recs = append(recs, Record{
 			LSN:  binary.BigEndian.Uint64(payload[0:8]),
 			Kind: Kind(binary.BigEndian.Uint16(payload[8:10])),
-			Data: data,
+			Data: payload[10:len(payload):len(payload)],
 		})
 		off += headerSize + int(length)
-		valid = off
 	}
-	return recs, valid, len(b), nil
+	return recs, off
 }
 
 func encodeRecord(r Record) []byte {
@@ -470,6 +539,17 @@ func (m *memBackend) append(b []byte) error {
 
 func (m *memBackend) sync() error               { return nil }
 func (m *memBackend) contents() ([]byte, error) { return m.buf, nil }
+
+func (m *memBackend) readAt(p []byte, off int64) (int, error) {
+	if off >= int64(len(m.buf)) {
+		return 0, io.EOF
+	}
+	n := copy(p, m.buf[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
 
 func (m *memBackend) truncate(n int) error {
 	if n < len(m.buf) {
@@ -500,15 +580,15 @@ func (fb *fileBackend) append(b []byte) error {
 
 func (fb *fileBackend) sync() error { return fb.f.Sync() }
 
+func (fb *fileBackend) readAt(p []byte, off int64) (int, error) { return fb.f.ReadAt(p, off) }
+
 func (fb *fileBackend) contents() ([]byte, error) {
-	if _, err := fb.f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	b, err := io.ReadAll(fb.f)
+	fi, err := fb.f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fb.f.Seek(0, io.SeekEnd); err != nil {
+	b := make([]byte, fi.Size())
+	if _, err := fb.readAt(b, 0); err != nil {
 		return nil, err
 	}
 	return b, nil

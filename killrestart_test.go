@@ -1075,8 +1075,11 @@ type groupStandby struct {
 	g       *orb.GroupMember
 	runErr  chan error
 
-	takeovers    atomic.Int32
+	takeovers    atomic.Int32 // takeover passes started
 	factoryCalls atomic.Int32
+	// takeoversDone counts takeover passes whose stats are stored;
+	// waiters read takeoverStats only after it moves.
+	takeoversDone atomic.Int32
 
 	mu        sync.Mutex
 	stats     ots.RecoveryStats
@@ -1139,6 +1142,7 @@ func (s *groupStandby) start(t *testing.T, leaderHint, peers []string) {
 			s.recovered = append(s.recovered, r.Name())
 		}
 		s.mu.Unlock()
+		s.takeoversDone.Add(1)
 		return nil
 	}
 	s.g = orb.NewGroupMember(s.orb, s.log, orb.GroupConfig{
@@ -1224,7 +1228,7 @@ func TestGroupTakeoverKillLeader2PC(t *testing.T) {
 		loser = sbA
 	}
 	waitCond(t, 10*time.Second, "the takeover pass to finish", func() bool {
-		return winner.takeovers.Load() == 1
+		return winner.takeoversDone.Load() == 1
 	})
 
 	// The winner's log held the decision (the election cannot pick a
@@ -1315,7 +1319,7 @@ func TestGroupRejoinDeadLeaderOldWAL(t *testing.T) {
 
 	// Sole survivor: the standby elects itself and converges the branches.
 	waitCond(t, 20*time.Second, "the standby to take over", func() bool {
-		return sb.g.Role() == orb.RoleLeader && sb.takeovers.Load() == 1
+		return sb.g.Role() == orb.RoleLeader && sb.takeoversDone.Load() == 1
 	})
 	stats, _ := sb.takeoverStats()
 	if stats.DecisionsReplayed != 1 || stats.ResourcesCommitted != 2 || stats.ResourcesFailed != 0 {
@@ -1421,7 +1425,7 @@ func TestGroupTakeoverBTPActivityJournal(t *testing.T) {
 	}
 
 	waitCond(t, 20*time.Second, "the standby to take over", func() bool {
-		return sb.g.Role() == orb.RoleLeader && sb.takeovers.Load() == 1
+		return sb.g.Role() == orb.RoleLeader && sb.takeoversDone.Load() == 1
 	})
 	stats, recovered := sb.takeoverStats()
 	if stats.DecisionsReplayed != 1 || stats.ResourcesCommitted != 3 ||
